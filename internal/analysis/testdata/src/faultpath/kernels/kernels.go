@@ -19,7 +19,7 @@ func sanctionedOps(dev *gpusim.Device, buf gpusim.Buffer, data []uint32) error {
 	if err := dev.TryCopyToDevice(buf, data); err != nil {
 		return err
 	}
-	if _, err := dev.TryLaunch(gpusim.LaunchConfig{Grid: 1, Block: 32}, func(ctx *gpusim.Ctx) {}, 0); err != nil {
+	if _, err := dev.TryLaunch(gpusim.LaunchConfig{Grid: 1, Block: 32}, 0, func(ctx *gpusim.Ctx) {}); err != nil {
 		return err
 	}
 	out := make([]uint32, 4)

@@ -5,11 +5,14 @@
 // The simulator has two halves:
 //
 //   - Functional: kernels are ordinary Go functions of a thread context
-//     (blockIdx/threadIdx/blockDim), launched over a 1-D grid. Every
-//     thread of a block runs as its own goroutine, so __syncthreads
-//     barriers, shared-memory races and divergence bugs behave like the
-//     real thing; blocks execute concurrently on host cores. Results are
-//     bit-exact with what the CUDA kernel would compute.
+//     (blockIdx/threadIdx/blockDim), launched over a 1-D grid as an
+//     ordered list of phases, the code between __syncthreads barriers.
+//     A block runs phase by phase on one host goroutine, every thread of
+//     a phase before the next phase starts; blocks execute concurrently
+//     on host cores. Threads of a phase run in ascending order on even
+//     blocks and descending order on odd ones, so a missing barrier shows
+//     as wrong results on every run. Results are bit-exact with what the
+//     CUDA kernel would compute.
 //
 //   - Timing: the simulator counts the events a bandwidth-bound kernel's
 //     runtime is made of — global-memory transactions (grouped per
@@ -53,9 +56,9 @@ type Config struct {
 	// compute-1.x half-warp rule.
 	CoalesceFullWarp bool
 
-	// Host-side execution width: how many blocks run concurrently on host
-	// cores. 0 means GOMAXPROCS. Affects wall-clock only, never modeled
-	// time.
+	// Host-side execution width: how many blocks run concurrently, each
+	// on one host goroutine that runs its threads phase by phase. 0 means
+	// GOMAXPROCS. Affects wall-clock only, never modeled time.
 	HostParallelism int
 }
 

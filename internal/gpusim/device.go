@@ -7,7 +7,9 @@ import (
 
 // Device is a simulated GPU: a flat global memory of 32-bit words, a bump
 // allocator, and accumulated statistics. All methods are safe for
-// concurrent use by kernel threads.
+// concurrent use. The blocks of a launch run concurrently on host
+// goroutines, so global-memory atomics take the device lock; the threads
+// of one block run in sequence on one goroutine.
 type Device struct {
 	cfg Config
 

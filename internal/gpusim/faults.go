@@ -260,7 +260,7 @@ func (d *Device) addStall(sec float64) {
 // the watchdog kills it. Without an injector it is exactly Launch. Stall
 // time of injected faults is accounted into the device statistics whether
 // or not the launch succeeds.
-func (d *Device) TryLaunch(cfg LaunchConfig, k Kernel, deadlineSec float64) (Stats, error) {
+func (d *Device) TryLaunch(cfg LaunchConfig, deadlineSec float64, phases ...Kernel) (Stats, error) {
 	d.mu.Lock()
 	in := d.faults
 	d.mu.Unlock()
@@ -271,7 +271,7 @@ func (d *Device) TryLaunch(cfg LaunchConfig, k Kernel, deadlineSec float64) (Sta
 			return Stats{}, err
 		}
 	}
-	return d.Launch(cfg, k), nil
+	return d.Launch(cfg, phases...), nil
 }
 
 // TryCopyToDevice is CopyToDevice under fault injection: an injected

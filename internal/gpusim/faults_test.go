@@ -30,7 +30,7 @@ func TestTryOpsWithoutInjectorMatchPlainOps(t *testing.T) {
 	if err := d.TryCopyToDevice(buf, []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 1.0); err != nil {
+	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 1.0, noopKernel(buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]uint32, 1)
@@ -51,11 +51,11 @@ func TestArmedKernelFaultFiresOnce(t *testing.T) {
 	in := d.EnableFaults(1)
 	in.Arm(FaultEvent{Kind: FaultKernelFail})
 
-	_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0)
+	_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0, noopKernel(buf))
 	if !errors.Is(err, ErrKernelFault) {
 		t.Fatalf("first launch err = %v, want ErrKernelFault", err)
 	}
-	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0); err != nil {
+	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0, noopKernel(buf)); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	rec := in.Record()
@@ -98,7 +98,7 @@ func TestHangUnderAndOverDeadline(t *testing.T) {
 
 	// Hang longer than the watchdog deadline: killed at the deadline.
 	in.Arm(FaultEvent{Kind: FaultHang, HangSeconds: 10})
-	_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0.5)
+	_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0.5, noopKernel(buf))
 	if !errors.Is(err, ErrWatchdogTimeout) {
 		t.Fatalf("err = %v, want ErrWatchdogTimeout", err)
 	}
@@ -108,7 +108,7 @@ func TestHangUnderAndOverDeadline(t *testing.T) {
 
 	// Hang shorter than the deadline: the launch completes, just late.
 	in.Arm(FaultEvent{Kind: FaultHang, HangSeconds: 0.2})
-	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0.5); err != nil {
+	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0.5, noopKernel(buf)); err != nil {
 		t.Fatalf("short hang failed the launch: %v", err)
 	}
 	rec := in.Record()
@@ -126,7 +126,7 @@ func TestDeadDeviceStaysDead(t *testing.T) {
 	in := d.EnableFaults(1)
 	in.Arm(FaultEvent{Kind: FaultDead})
 
-	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0); !errors.Is(err, ErrDeviceLost) {
+	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0, noopKernel(buf)); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("err = %v, want ErrDeviceLost", err)
 	}
 	if in.Alive() {
@@ -136,7 +136,7 @@ func TestDeadDeviceStaysDead(t *testing.T) {
 	if err := d.TryCopyToDevice(buf, []uint32{1}); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("transfer on dead device: %v", err)
 	}
-	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0); !errors.Is(err, ErrDeviceLost) {
+	if _, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0, noopKernel(buf)); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("launch on dead device: %v", err)
 	}
 	if rec := in.Record(); !rec.Dead || rec.Injected != 1 {
@@ -152,7 +152,7 @@ func TestRandomRatesAreDeterministic(t *testing.T) {
 		in := d.EnableFaults(42)
 		in.SetRates(0.5, 0)
 		for i := 0; i < 20; i++ {
-			_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, noopKernel(buf), 0)
+			_, err := d.TryLaunch(LaunchConfig{Grid: 1, Block: 32}, 0, noopKernel(buf))
 			runs[r] = append(runs[r], err == nil)
 		}
 	}

@@ -140,24 +140,70 @@ func TestKernelComputesElementwiseAdd(t *testing.T) {
 	}
 }
 
-func TestBarrierOrdersSharedMemory(t *testing.T) {
-	// Classic reversal: each thread writes shared[tid], barrier, reads
-	// shared[blockDim-1-tid]. Without a working barrier this flakes.
+// reversal launches the classic shared-memory reversal on two blocks of
+// n threads: each thread writes shared[tid], then reads
+// shared[blockDim-1-tid] into out[blockIdx*n+tid]. With merged the write
+// and the read share one phase, which drops the barrier between them.
+func reversal(n int, merged bool) []uint32 {
 	d := testDevice(4096)
-	n := 256
-	out, _ := d.Malloc(n)
-	d.Launch(LaunchConfig{Grid: 1, Block: n, SharedWords: n}, func(ctx *Ctx) {
-		ctx.StoreShared(ctx.ThreadIdx, uint32(ctx.ThreadIdx))
-		ctx.SyncThreads()
-		ctx.StoreGlobal(out, ctx.ThreadIdx, ctx.LoadShared(ctx.BlockDim-1-ctx.ThreadIdx))
-	})
-	got := make([]uint32, n)
+	out, _ := d.Malloc(2 * n)
+	write := func(ctx *Ctx) { ctx.StoreShared(ctx.ThreadIdx, uint32(ctx.ThreadIdx)) }
+	read := func(ctx *Ctx) {
+		ctx.StoreGlobal(out, ctx.GlobalThreadID(), ctx.LoadShared(ctx.BlockDim-1-ctx.ThreadIdx))
+	}
+	cfg := LaunchConfig{Grid: 2, Block: n, SharedWords: n}
+	if merged {
+		d.Launch(cfg, func(ctx *Ctx) { write(ctx); read(ctx) })
+	} else {
+		d.Launch(cfg, write, read)
+	}
+	got := make([]uint32, 2*n)
 	d.CopyFromDevice(got, out)
+	return got
+}
+
+func TestBarrierOrdersSharedMemory(t *testing.T) {
+	// The phase boundary is the barrier: every write lands before any
+	// read, in both thread orders.
+	n := 256
+	got := reversal(n, false)
 	for i := range got {
-		if got[i] != uint32(n-1-i) {
-			t.Fatalf("out[%d] = %d, want %d", i, got[i], n-1-i)
+		if want := uint32(n - 1 - i%n); got[i] != want {
+			t.Fatalf("out[%d] = %d, want %d", i, got[i], want)
 		}
 	}
+}
+
+func TestMissingBarrierIsDeterministic(t *testing.T) {
+	// Without the barrier, block 0 (ascending thread order) reads the
+	// not-yet-written upper half as zero for its lower threads, and block
+	// 1 (descending) does the same for its upper threads: wrong output in
+	// block 1, different from block 0's, on every run.
+	n := 256
+	got := reversal(n, true)
+	for i := 0; i < n; i++ {
+		want0, want1 := uint32(n-1-i), uint32(0)
+		if i < n/2 {
+			want0, want1 = 0, uint32(n-1-i)
+		}
+		if got[i] != want0 || got[n+i] != want1 {
+			t.Fatalf("thread %d: blocks read %d and %d, want %d and %d", i, got[i], got[n+i], want0, want1)
+		}
+	}
+}
+
+// reduceShared is the tree reduction of shared words [0, block): one phase
+// per halving stride.
+func reduceShared(block int) []Kernel {
+	var phases []Kernel
+	for stride := block / 2; stride > 0; stride /= 2 {
+		phases = append(phases, func(ctx *Ctx) {
+			if ctx.ThreadIdx < stride {
+				ctx.StoreShared(ctx.ThreadIdx, ctx.LoadShared(ctx.ThreadIdx)+ctx.LoadShared(ctx.ThreadIdx+stride))
+			}
+		})
+	}
+	return phases
 }
 
 func TestTreeReductionInSharedMemory(t *testing.T) {
@@ -166,19 +212,14 @@ func TestTreeReductionInSharedMemory(t *testing.T) {
 	d := testDevice(1024)
 	block := 128
 	out, _ := d.Malloc(1)
-	d.Launch(LaunchConfig{Grid: 1, Block: block, SharedWords: block}, func(ctx *Ctx) {
-		ctx.StoreShared(ctx.ThreadIdx, uint32(ctx.ThreadIdx))
-		ctx.SyncThreads()
-		for stride := ctx.BlockDim / 2; stride > 0; stride /= 2 {
-			if ctx.ThreadIdx < stride {
-				ctx.StoreShared(ctx.ThreadIdx, ctx.LoadShared(ctx.ThreadIdx)+ctx.LoadShared(ctx.ThreadIdx+stride))
-			}
-			ctx.SyncThreads()
-		}
+	phases := []Kernel{func(ctx *Ctx) { ctx.StoreShared(ctx.ThreadIdx, uint32(ctx.ThreadIdx)) }}
+	phases = append(phases, reduceShared(block)...)
+	phases = append(phases, func(ctx *Ctx) {
 		if ctx.ThreadIdx == 0 {
 			ctx.StoreGlobal(out, 0, ctx.LoadShared(0))
 		}
 	})
+	d.Launch(LaunchConfig{Grid: 1, Block: block, SharedWords: block}, phases...)
 	got := make([]uint32, 1)
 	d.CopyFromDevice(got, out)
 	want := uint32(block * (block - 1) / 2)
@@ -188,19 +229,23 @@ func TestTreeReductionInSharedMemory(t *testing.T) {
 }
 
 func TestEarlyExitDoesNotDeadlockBarrier(t *testing.T) {
-	// Modern __syncthreads semantics: exited threads are not waited for.
-	// Thread 0 returns immediately; the rest sync twice and must complete.
+	// An exited thread is an early return in each phase; it is not
+	// waited for. Thread 0 returns immediately; the rest cross two
+	// barriers and must complete.
 	d := testDevice(64)
 	out, _ := d.Malloc(8)
 	done := make(chan struct{})
+	var s Stats
 	go func() {
-		d.Launch(LaunchConfig{Grid: 1, Block: 8, SharedWords: 8}, func(ctx *Ctx) {
+		s = d.Launch(LaunchConfig{Grid: 1, Block: 8, SharedWords: 8}, func(ctx *Ctx) {
 			if ctx.ThreadIdx == 0 {
 				return
 			}
 			ctx.StoreShared(ctx.ThreadIdx, 1)
-			ctx.SyncThreads()
-			ctx.SyncThreads()
+		}, func(ctx *Ctx) {}, func(ctx *Ctx) {
+			if ctx.ThreadIdx == 0 {
+				return
+			}
 			ctx.StoreGlobal(out, ctx.ThreadIdx, ctx.LoadShared(ctx.ThreadIdx))
 		})
 		close(done)
@@ -216,6 +261,11 @@ func TestEarlyExitDoesNotDeadlockBarrier(t *testing.T) {
 		if got[i] != 1 {
 			t.Fatalf("thread %d result %d, want 1", i, got[i])
 		}
+	}
+	// Barriers = Block × (phases − 1): every thread crosses every phase
+	// boundary, returned early or not.
+	if s.Barriers != 8*2 {
+		t.Fatalf("barriers = %d, want %d", s.Barriers, 8*2)
 	}
 }
 
@@ -446,7 +496,7 @@ func TestAtomicAddShared(t *testing.T) {
 	out, _ := d.Malloc(1)
 	d.Launch(LaunchConfig{Grid: 1, Block: 64, SharedWords: 1}, func(ctx *Ctx) {
 		ctx.AtomicAddShared(0, uint32(ctx.ThreadIdx))
-		ctx.SyncThreads()
+	}, func(ctx *Ctx) {
 		if ctx.ThreadIdx == 0 {
 			ctx.StoreGlobal(out, 0, ctx.LoadShared(0))
 		}
@@ -660,20 +710,13 @@ func TestStatsIndependentOfHostParallelism(t *testing.T) {
 		cfg.HostParallelism = par
 		d := NewDevice(cfg, 1<<14)
 		buf, _ := d.Malloc(4096)
-		d.Launch(LaunchConfig{Grid: 16, Block: 64, SharedWords: 64}, func(ctx *Ctx) {
+		d.Launch(LaunchConfig{Grid: 16, Block: 64, SharedWords: 64}, append([]Kernel{func(ctx *Ctx) {
 			sum := uint32(0)
 			for w := ctx.ThreadIdx; w < 4096; w += ctx.BlockDim {
 				sum += ctx.Popc(ctx.LoadGlobal(buf, w))
 			}
 			ctx.StoreShared(ctx.ThreadIdx, sum)
-			ctx.SyncThreads()
-			for stride := ctx.BlockDim / 2; stride > 0; stride /= 2 {
-				if ctx.ThreadIdx < stride {
-					ctx.StoreShared(ctx.ThreadIdx, ctx.LoadShared(ctx.ThreadIdx)+ctx.LoadShared(ctx.ThreadIdx+stride))
-				}
-				ctx.SyncThreads()
-			}
-		})
+		}}, reduceShared(64)...)...)
 		return d.Stats()
 	}
 	a, b := run(1), run(8)

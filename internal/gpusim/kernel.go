@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // LaunchConfig is the 1-D execution geometry of a kernel launch
@@ -15,9 +17,14 @@ type LaunchConfig struct {
 	SharedWords int // 32-bit words of shared memory per block
 }
 
-// Kernel is the device function: it runs once per thread with that
-// thread's context. Kernels must perform all global/shared memory access
-// through the context so the timing model sees every event.
+// Kernel is one barrier-delimited phase of a device function: it runs
+// once per thread with that thread's context. A CUDA kernel with
+// __syncthreads is written as the ordered list of the code between its
+// barriers, and Launch runs phase p for every thread of a block before
+// phase p+1 starts. Per-thread values that must survive a barrier go
+// through shared or global memory, as on the card. Kernels must perform
+// all global/shared memory access through the context so the timing
+// model sees every event.
 type Kernel func(ctx *Ctx)
 
 // Ctx is one thread's view of the device — the CUDA built-ins plus the
@@ -29,7 +36,7 @@ type Ctx struct {
 	GridDim   int
 
 	dev      *Device
-	blk      *blockState
+	shared   []uint32 // the block's shared memory
 	log      []access // global-access trace, ordered per thread
 	alu      int64
 	shmem    int64
@@ -42,74 +49,14 @@ type access struct {
 	atomic bool // atomics serialize: no coalescing with lane mates
 }
 
-// blockState is the per-block shared context: shared memory, the barrier,
-// and the per-thread traces collected for coalescing analysis.
+// blockState is one host worker's block: shared memory and the thread
+// contexts, whose traces feed the coalescing analysis. A worker reuses
+// it for every block it runs.
 type blockState struct {
-	mu       sync.Mutex // guards shared for atomic ops
-	shared   []uint32
-	barrier  *barrier
-	traces   [][]access
-	alu      []int64
-	shmem    []int64
-	branches [][]bool
+	shared  []uint32
+	threads []Ctx
+	segs    []int // distinct segments of one access group (analyzeBlock)
 }
-
-// barrier is a reusable all-threads barrier with CUDA's modern
-// __syncthreads semantics: it waits for every thread of the block that has
-// not yet exited the kernel, so early-returning threads (a common pattern
-// in bounds-checked kernels) do not deadlock their block mates. Broadcast
-// is a channel close — the cheapest wake-all the runtime offers, which
-// matters because support-counting kernels cross barriers millions of
-// times per mining run.
-type barrier struct {
-	mu      sync.Mutex
-	release chan struct{} // closed to release the current phase
-	total   int           // live (not yet exited) threads
-	arrived int
-	crossed int64 // total barrier crossings (threads × syncs)
-}
-
-func newBarrier(n int) *barrier {
-	return &barrier{total: n, release: make(chan struct{})}
-}
-
-// sync blocks until all live threads arrive.
-func (b *barrier) sync() {
-	b.mu.Lock()
-	b.crossed++
-	b.arrived++
-	if b.arrived >= b.total {
-		b.openPhaseLocked()
-		b.mu.Unlock()
-		return
-	}
-	ch := b.release
-	b.mu.Unlock()
-	<-ch
-}
-
-// openPhaseLocked releases every waiter and starts a fresh phase. Callers
-// hold b.mu.
-func (b *barrier) openPhaseLocked() {
-	b.arrived = 0
-	close(b.release)
-	b.release = make(chan struct{})
-}
-
-// exit removes a finished thread from the barrier population. If the
-// exiting thread was the last one the current barrier was waiting on, the
-// waiters are released.
-func (b *barrier) exit() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.total--
-	if b.total > 0 && b.arrived >= b.total {
-		b.openPhaseLocked()
-	}
-}
-
-// SyncThreads is __syncthreads(): waits for every thread of the block.
-func (c *Ctx) SyncThreads() { c.blk.barrier.sync() }
 
 // LoadGlobal reads one 32-bit word of global memory, tracing it for the
 // coalescing analysis.
@@ -131,17 +78,17 @@ func (c *Ctx) StoreGlobal(b Buffer, idx int, v uint32) {
 // LoadShared reads a word of the block's shared memory.
 func (c *Ctx) LoadShared(idx int) uint32 {
 	c.shmem++
-	return c.blk.shared[idx]
+	return c.shared[idx]
 }
 
 // StoreShared writes a word of the block's shared memory.
 func (c *Ctx) StoreShared(idx int, v uint32) {
 	c.shmem++
-	c.blk.shared[idx] = v
+	c.shared[idx] = v
 }
 
 // SharedLen returns the block's shared-memory size in words.
-func (c *Ctx) SharedLen() int { return len(c.blk.shared) }
+func (c *Ctx) SharedLen() int { return len(c.shared) }
 
 // Popc is the CUDA __popc intrinsic: population count of a 32-bit word.
 func (c *Ctx) Popc(v uint32) uint32 {
@@ -166,13 +113,12 @@ func (c *Ctx) AtomicAddGlobal(b Buffer, idx int, v uint32) uint32 {
 }
 
 // AtomicAddShared atomically adds v to a word of the block's shared
-// memory and returns the previous value.
+// memory and returns the previous value. A block runs on one host
+// goroutine, so the add needs no lock.
 func (c *Ctx) AtomicAddShared(idx int, v uint32) uint32 {
 	c.shmem += 2
-	c.blk.mu.Lock()
-	old := c.blk.shared[idx]
-	c.blk.shared[idx] = old + v
-	c.blk.mu.Unlock()
+	old := c.shared[idx]
+	c.shared[idx] = old + v
 	return old
 }
 
@@ -201,11 +147,16 @@ func (c *Ctx) Compute(n int) {
 // global index of CUDA 1-D kernels.
 func (c *Ctx) GlobalThreadID() int { return c.BlockIdx*c.BlockDim + c.ThreadIdx }
 
-// Launch runs the kernel over the grid. Threads of a block run as
-// concurrent goroutines (barriers are real); up to HostParallelism blocks
-// are in flight at once. Launch returns the per-launch statistics after
-// they are folded into the device totals.
-func (d *Device) Launch(cfg LaunchConfig, k Kernel) Stats {
+// Launch runs a kernel, given as its barrier-delimited phases, over the
+// grid. Each block runs on one host goroutine, phase by phase; the
+// boundary between two phases is the block's __syncthreads. Within a
+// phase threads run in ascending ThreadIdx order on even blocks and in
+// descending order on odd blocks, so a missing barrier (a thread reading
+// a shared word another thread writes in the same phase) gives results
+// that differ between even and odd blocks on every run. Up to
+// HostParallelism blocks are in flight at once. Launch returns the
+// per-launch statistics after they are folded into the device totals.
+func (d *Device) Launch(cfg LaunchConfig, phases ...Kernel) Stats {
 	if cfg.Grid <= 0 || cfg.Block <= 0 {
 		panic(fmt.Sprintf("gpusim: launch geometry %d×%d must be positive", cfg.Grid, cfg.Block))
 	}
@@ -214,6 +165,9 @@ func (d *Device) Launch(cfg LaunchConfig, k Kernel) Stats {
 	}
 	if cfg.SharedWords > d.cfg.SharedMemWords {
 		panic(fmt.Sprintf("gpusim: shared memory %d words exceeds device limit %d", cfg.SharedWords, d.cfg.SharedMemWords))
+	}
+	if len(phases) == 0 {
+		panic("gpusim: launch without a kernel phase")
 	}
 
 	workers := d.cfg.HostParallelism
@@ -225,40 +179,32 @@ func (d *Device) Launch(cfg LaunchConfig, k Kernel) Stats {
 	}
 
 	var mu sync.Mutex
-	var launch Stats
 	var firstPanic interface{}
-	launch.KernelLaunches = 1
-	launch.OccupancyMilliWarps = int64(1000*d.occupancy(cfg) + 0.5)
-
-	blockIDs := make(chan int)
+	launch := Stats{
+		KernelLaunches:      1,
+		OccupancyMilliWarps: int64(1000*d.occupancy(cfg) + 0.5),
+	}
+	var next atomic.Int64 // next block to hand out
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for blockID := range blockIDs {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if firstPanic == nil {
-								firstPanic = r
-							}
-							mu.Unlock()
-						}
-					}()
-					bs := d.runBlock(cfg, k, blockID)
+			defer func() {
+				if r := recover(); r != nil {
 					mu.Lock()
-					launch.Add(bs)
+					if firstPanic == nil {
+						firstPanic = r
+					}
 					mu.Unlock()
-				}()
-			}
+				}
+			}()
+			s := d.runBlocks(cfg, phases, &next)
+			mu.Lock()
+			launch.Add(s)
+			mu.Unlock()
 		}()
 	}
-	for b := 0; b < cfg.Grid; b++ {
-		blockIDs <- b
-	}
-	close(blockIDs)
 	wg.Wait()
 	if firstPanic != nil {
 		// Re-raise the kernel's failure on the launching goroutine, like a
@@ -303,58 +249,40 @@ func (d *Device) occupancy(cfg LaunchConfig) float64 {
 	return float64(resident)
 }
 
-// runBlock executes one thread block and returns its statistics.
-func (d *Device) runBlock(cfg LaunchConfig, k Kernel, blockID int) Stats {
+// runBlocks is one host worker: it takes blocks from next until the grid
+// is exhausted, runs each phase by phase on one reused blockState, and
+// returns the statistics of the blocks it ran.
+func (d *Device) runBlocks(cfg LaunchConfig, phases []Kernel, next *atomic.Int64) Stats {
 	blk := &blockState{
-		shared:   make([]uint32, cfg.SharedWords),
-		barrier:  newBarrier(cfg.Block),
-		traces:   make([][]access, cfg.Block),
-		alu:      make([]int64, cfg.Block),
-		shmem:    make([]int64, cfg.Block),
-		branches: make([][]bool, cfg.Block),
+		shared:  make([]uint32, cfg.SharedWords),
+		threads: make([]Ctx, cfg.Block),
 	}
-	var wg sync.WaitGroup
-	panics := make(chan interface{}, cfg.Block)
-	for t := 0; t < cfg.Block; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			ctx := &Ctx{
-				BlockIdx:  blockID,
-				ThreadIdx: tid,
-				BlockDim:  cfg.Block,
-				GridDim:   cfg.Grid,
-				dev:       d,
-				blk:       blk,
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					panics <- r
-					// Remove the dead thread and unblock any block mates
-					// waiting at a barrier so the launch can fail instead
-					// of deadlocking.
-					blk.barrier.mu.Lock()
-					blk.barrier.total--
-					blk.barrier.openPhaseLocked()
-					blk.barrier.mu.Unlock()
-					return
+	for t := range blk.threads {
+		blk.threads[t] = Ctx{ThreadIdx: t, BlockDim: cfg.Block, GridDim: cfg.Grid, dev: d, shared: blk.shared}
+	}
+	var s Stats
+	for b := int(next.Add(1) - 1); b < cfg.Grid; b = int(next.Add(1) - 1) {
+		clear(blk.shared)
+		for t := range blk.threads {
+			c := &blk.threads[t]
+			c.BlockIdx = b
+			c.log, c.branches = c.log[:0], c.branches[:0]
+			c.alu, c.shmem = 0, 0
+		}
+		for _, k := range phases {
+			if b%2 == 0 {
+				for t := range blk.threads {
+					k(&blk.threads[t])
 				}
-				blk.barrier.exit()
-			}()
-			k(ctx)
-			blk.traces[tid] = ctx.log
-			blk.alu[tid] = ctx.alu
-			blk.shmem[tid] = ctx.shmem
-			blk.branches[tid] = ctx.branches
-		}(t)
+			} else {
+				for t := len(blk.threads) - 1; t >= 0; t-- {
+					k(&blk.threads[t])
+				}
+			}
+		}
+		s.Add(d.analyzeBlock(cfg, blk, len(phases)))
 	}
-	wg.Wait()
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
-	}
-	return d.analyzeBlock(cfg, blk)
+	return s
 }
 
 // analyzeBlock post-processes a finished block's traces into statistics.
@@ -363,10 +291,13 @@ func (d *Device) runBlock(cfg LaunchConfig, k Kernel, blockID int) Stats {
 // as many SegmentBytes-sized transactions as distinct segments it touches
 // (the Tesla T10 / compute-1.3 rule). ALU lane-ops are padded to the warp
 // maximum, since divergent lanes idle but still occupy the SIMD unit.
-func (d *Device) analyzeBlock(cfg LaunchConfig, blk *blockState) Stats {
+// Every thread crosses each of the phases−1 barriers.
+func (d *Device) analyzeBlock(cfg LaunchConfig, blk *blockState, phases int) Stats {
 	var s Stats
 	s.BlocksRun = 1
 	s.ThreadsRun = int64(cfg.Block)
+	s.Barriers = int64(cfg.Block) * int64(phases-1)
+	threads := blk.threads
 	warp := d.cfg.WarpSize
 	half := warp / 2
 	if d.cfg.CoalesceFullWarp {
@@ -376,42 +307,37 @@ func (d *Device) analyzeBlock(cfg LaunchConfig, blk *blockState) Stats {
 	nWarps := (cfg.Block + warp - 1) / warp
 	s.WarpsRun = int64(nWarps)
 
-	segs := make(map[int]struct{}, half)
-	for hw := 0; hw*half < cfg.Block; hw++ {
-		lo := hw * half
-		hi := lo + half
-		if hi > cfg.Block {
-			hi = cfg.Block
-		}
+	for lo := 0; lo < cfg.Block; lo += half {
+		group := threads[lo:min(lo+half, cfg.Block)]
 		// Longest trace in this half-warp decides the step count.
 		maxSteps := 0
-		for t := lo; t < hi; t++ {
-			if len(blk.traces[t]) > maxSteps {
-				maxSteps = len(blk.traces[t])
-			}
+		for t := range group {
+			maxSteps = max(maxSteps, len(group[t].log))
 		}
 		for step := 0; step < maxSteps; step++ {
-			clear(segs)
+			segs := blk.segs[:0]
 			n := 0
 			atomics := int64(0)
-			for t := lo; t < hi; t++ {
-				if step < len(blk.traces[t]) {
-					a := blk.traces[t][step]
-					if a.atomic {
-						// Atomics serialize at the memory controller: one
-						// transaction per lane, never coalesced.
-						atomics++
-					} else {
-						segs[a.word/segWords] = struct{}{}
-					}
-					if a.store {
-						s.GlobalStores++
-					} else {
-						s.GlobalLoads++
-					}
-					n++
+			for t := range group {
+				if step >= len(group[t].log) {
+					continue
 				}
+				a := group[t].log[step]
+				if a.atomic {
+					// Atomics serialize at the memory controller: one
+					// transaction per lane, never coalesced.
+					atomics++
+				} else if seg := a.word / segWords; !slices.Contains(segs, seg) {
+					segs = append(segs, seg)
+				}
+				if a.store {
+					s.GlobalStores++
+				} else {
+					s.GlobalLoads++
+				}
+				n++
 			}
+			blk.segs = segs
 			if n == 0 {
 				continue
 			}
@@ -427,25 +353,19 @@ func (d *Device) analyzeBlock(cfg LaunchConfig, blk *blockState) Stats {
 		}
 	}
 
-	// Divergence: the i-th recorded branch of each warp diverges when its
-	// lanes disagree; count per warp under the lockstep assumption.
-	for w := 0; w < nWarps; w++ {
-		lo := w * warp
-		hi := lo + warp
-		if hi > cfg.Block {
-			hi = cfg.Block
-		}
+	for lo := 0; lo < cfg.Block; lo += warp {
+		lanes := threads[lo:min(lo+warp, cfg.Block)]
+		// Divergence: the i-th recorded branch of a warp diverges when its
+		// lanes disagree; counted under the lockstep assumption.
 		maxB := 0
-		for t := lo; t < hi; t++ {
-			if len(blk.branches[t]) > maxB {
-				maxB = len(blk.branches[t])
-			}
+		for t := range lanes {
+			maxB = max(maxB, len(lanes[t].branches))
 		}
 		for step := 0; step < maxB; step++ {
 			sawTaken, sawNot := false, false
-			for t := lo; t < hi; t++ {
-				if step < len(blk.branches[t]) {
-					if blk.branches[t][step] {
+			for t := range lanes {
+				if step < len(lanes[t].branches) {
+					if lanes[t].branches[step] {
 						sawTaken = true
 					} else {
 						sawNot = true
@@ -457,28 +377,16 @@ func (d *Device) analyzeBlock(cfg LaunchConfig, blk *blockState) Stats {
 				s.DivergentBranches++
 			}
 		}
-	}
 
-	// Warp-lockstep ALU padding: each warp costs max(thread ops) on every
-	// lane.
-	for w := 0; w < nWarps; w++ {
-		lo := w * warp
-		hi := lo + warp
-		if hi > cfg.Block {
-			hi = cfg.Block
-		}
+		// Warp-lockstep ALU padding: each warp costs max(thread ops) on
+		// every lane.
 		var maxALU, maxSh int64
-		for t := lo; t < hi; t++ {
-			if blk.alu[t] > maxALU {
-				maxALU = blk.alu[t]
-			}
-			if blk.shmem[t] > maxSh {
-				maxSh = blk.shmem[t]
-			}
+		for t := range lanes {
+			maxALU = max(maxALU, lanes[t].alu)
+			maxSh = max(maxSh, lanes[t].shmem)
 		}
-		s.ALULaneOps += maxALU * int64(hi-lo)
-		s.SharedAccesses += maxSh * int64(hi-lo)
+		s.ALULaneOps += maxALU * int64(len(lanes))
+		s.SharedAccesses += maxSh * int64(len(lanes))
 	}
-	s.Barriers = blk.barrier.crossed
 	return s
 }

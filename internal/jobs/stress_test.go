@@ -34,6 +34,29 @@ func TestStressCountersBalance(t *testing.T) {
 		accepted []*Job
 		rejected int
 	)
+
+	// The random load below reaches the Failed and Canceled paths only
+	// when enough of it is admitted, which a busy scheduler does not
+	// promise. Two jobs admitted into the idle manager first make both
+	// paths certain: one fails, one blocks until it is canceled.
+	failer := &Job{Name: "stress-fail", MemBytes: 50, Run: func(context.Context) error {
+		return errors.New("synthetic failure")
+	}}
+	started := make(chan struct{})
+	blocker := &Job{Name: "stress-block", MemBytes: 50, Run: func(ctx context.Context) error {
+		close(started)
+		<-ctx.Done()
+		return ctx.Err()
+	}}
+	for _, j := range []*Job{failer, blocker} {
+		if err := m.Submit(j); err != nil {
+			t.Fatalf("submit %s to an idle manager: %v", j.Name, err)
+		}
+		accepted = append(accepted, j)
+	}
+	<-failer.Done()
+	<-started
+
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
@@ -98,6 +121,7 @@ func TestStressCountersBalance(t *testing.T) {
 
 	wg.Wait()
 	cancelWG.Wait()
+	m.Cancel(blocker)
 	for _, j := range accepted {
 		select {
 		case <-j.Done():

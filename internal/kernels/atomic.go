@@ -62,15 +62,13 @@ func (d *DeviceDB) SupportCountsAtomic(cands [][]dataset.Item, opt Options) ([]i
 	words := d.wordsPerVec
 	vectors := d.vectors
 
-	_, lerr := d.dev.TryLaunch(cfg, func(ctx *gpusim.Ctx) {
+	var phases []gpusim.Kernel
+	if opt.Preload {
+		phases = append(phases, preloadPhase(candBuf, k, 0))
+	}
+	phases = append(phases, func(ctx *gpusim.Ctx) {
 		cand := ctx.BlockIdx
 		tid := ctx.ThreadIdx
-		if opt.Preload {
-			if tid < k {
-				ctx.StoreShared(tid, ctx.LoadGlobal(candBuf, cand*k+tid))
-			}
-			ctx.SyncThreads()
-		}
 		itemAt := func(j int) int {
 			if opt.Preload {
 				return int(ctx.LoadShared(j))
@@ -92,7 +90,8 @@ func (d *DeviceDB) SupportCountsAtomic(cands [][]dataset.Item, opt Options) ([]i
 		if sum > 0 {
 			ctx.AtomicAddGlobal(outBuf, cand, sum)
 		}
-	}, opt.DeadlineSec)
+	})
+	_, lerr := d.dev.TryLaunch(cfg, opt.DeadlineSec, phases...)
 	if lerr != nil {
 		return nil, fmt.Errorf("kernels: atomic support-count launch: %w", lerr)
 	}

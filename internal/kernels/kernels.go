@@ -204,20 +204,16 @@ func (d *DeviceDB) supportCountsComplete(cands [][]dataset.Item, k int, opt Opti
 	words := d.wordsPerVec
 	vectors := d.vectors
 
-	_, lerr := d.dev.TryLaunch(cfg, func(ctx *gpusim.Ctx) {
+	// Section IV.3 (1): candidate preloading. The first k threads fetch
+	// the candidate's item ids once; everyone else waits at the barrier.
+	var phases []gpusim.Kernel
+	candShared := opt.BlockSize // candidate ids live after the sums
+	if opt.Preload {
+		phases = append(phases, preloadPhase(candBuf, k, candShared))
+	}
+	phases = append(phases, func(ctx *gpusim.Ctx) {
 		cand := ctx.BlockIdx
 		tid := ctx.ThreadIdx
-		candShared := opt.BlockSize // candidate ids live after the sums
-
-		// Section IV.3 (1): candidate preloading. The first k threads
-		// fetch the candidate's item ids once; everyone else waits.
-		if opt.Preload {
-			if tid < k {
-				ctx.StoreShared(candShared+tid, ctx.LoadGlobal(candBuf, cand*k+tid))
-			}
-			ctx.SyncThreads()
-		}
-
 		itemAt := func(j int) int {
 			if opt.Preload {
 				return int(ctx.LoadShared(candShared + j))
@@ -241,20 +237,12 @@ func (d *DeviceDB) supportCountsComplete(cands [][]dataset.Item, k int, opt Opti
 		// Loop bookkeeping: one compare+increment per iteration, divided
 		// by the manual unroll factor (Section IV.3 (2)).
 		ctx.Compute((steps + opt.Unroll - 1) / opt.Unroll)
-
-		// Parallel tree reduction of the per-thread counts (Figure 5).
 		ctx.StoreShared(tid, sum)
-		ctx.SyncThreads()
-		for stride := ctx.BlockDim / 2; stride > 0; stride /= 2 {
-			if tid < stride {
-				ctx.StoreShared(tid, ctx.LoadShared(tid)+ctx.LoadShared(tid+stride))
-			}
-			ctx.SyncThreads()
-		}
-		if tid == 0 {
-			ctx.StoreGlobal(outBuf, cand, ctx.LoadShared(0))
-		}
-	}, opt.DeadlineSec)
+	})
+	// Parallel tree reduction of the per-thread counts (Figure 5).
+	phases = append(phases, reducePhases(opt.BlockSize, outBuf)...)
+
+	_, lerr := d.dev.TryLaunch(cfg, opt.DeadlineSec, phases...)
 	if lerr != nil {
 		return nil, fmt.Errorf("kernels: support-count launch: %w", lerr)
 	}
@@ -268,4 +256,35 @@ func (d *DeviceDB) supportCountsComplete(cands [][]dataset.Item, k int, opt Opti
 		out[i] = int(v)
 	}
 	return out, nil
+}
+
+// preloadPhase is the kernel phase that stages a block's n ids,
+// buf[BlockIdx*n : BlockIdx*n+n], into shared words [at, at+n): threads
+// below n each fetch one id, the rest idle until the barrier.
+func preloadPhase(buf gpusim.Buffer, n, at int) gpusim.Kernel {
+	return func(ctx *gpusim.Ctx) {
+		if tid := ctx.ThreadIdx; tid < n {
+			ctx.StoreShared(at+tid, ctx.LoadGlobal(buf, ctx.BlockIdx*n+tid))
+		}
+	}
+}
+
+// reducePhases is the parallel tree reduction of Figure 5 over the
+// per-thread counts in shared words [0, block): one phase per halving
+// stride, then thread 0 stores the block's sum to out[BlockIdx]. It is
+// built once per launch and shared by every block.
+func reducePhases(block int, out gpusim.Buffer) []gpusim.Kernel {
+	var phases []gpusim.Kernel
+	for stride := block / 2; stride > 0; stride /= 2 {
+		phases = append(phases, func(ctx *gpusim.Ctx) {
+			if tid := ctx.ThreadIdx; tid < stride {
+				ctx.StoreShared(tid, ctx.LoadShared(tid)+ctx.LoadShared(tid+stride))
+			}
+		})
+	}
+	return append(phases, func(ctx *gpusim.Ctx) {
+		if ctx.ThreadIdx == 0 {
+			ctx.StoreGlobal(out, ctx.BlockIdx, ctx.LoadShared(0))
+		}
+	})
 }

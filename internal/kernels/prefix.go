@@ -177,15 +177,13 @@ func (d *DeviceDB) prefixChunk(cands [][]dataset.Item, classes []classRun, k int
 		sharedA = k - 1
 	}
 	cfgA := gpusim.LaunchConfig{Grid: nClasses, Block: opt.BlockSize, SharedWords: sharedA}
-	_, lerr := d.dev.TryLaunch(cfgA, func(ctx *gpusim.Ctx) {
+	var phasesA []gpusim.Kernel
+	if opt.Preload {
+		phasesA = append(phasesA, preloadPhase(prefixBuf, k-1, 0))
+	}
+	phasesA = append(phasesA, func(ctx *gpusim.Ctx) {
 		cls := ctx.BlockIdx
 		tid := ctx.ThreadIdx
-		if opt.Preload {
-			if tid < k-1 {
-				ctx.StoreShared(tid, ctx.LoadGlobal(prefixBuf, cls*(k-1)+tid))
-			}
-			ctx.SyncThreads()
-		}
 		itemAt := func(j int) int {
 			if opt.Preload {
 				return int(ctx.LoadShared(j))
@@ -203,7 +201,8 @@ func (d *DeviceDB) prefixChunk(cands [][]dataset.Item, classes []classRun, k int
 			steps++
 		}
 		ctx.Compute((steps + opt.Unroll - 1) / opt.Unroll)
-	}, opt.DeadlineSec)
+	})
+	_, lerr := d.dev.TryLaunch(cfgA, opt.DeadlineSec, phasesA...)
 	if lerr != nil {
 		return fmt.Errorf("kernels: prefix phase-A launch: %w", lerr)
 	}
@@ -215,16 +214,14 @@ func (d *DeviceDB) prefixChunk(cands [][]dataset.Item, classes []classRun, k int
 		sharedB += 2
 	}
 	cfgB := gpusim.LaunchConfig{Grid: nCands, Block: opt.BlockSize, SharedWords: sharedB}
-	_, lerr = d.dev.TryLaunch(cfgB, func(ctx *gpusim.Ctx) {
+	var phasesB []gpusim.Kernel
+	metaShared := opt.BlockSize
+	if opt.Preload {
+		phasesB = append(phasesB, preloadPhase(pairBuf, 2, metaShared))
+	}
+	phasesB = append(phasesB, func(ctx *gpusim.Ctx) {
 		cand := ctx.BlockIdx
 		tid := ctx.ThreadIdx
-		metaShared := opt.BlockSize
-		if opt.Preload {
-			if tid < 2 {
-				ctx.StoreShared(metaShared+tid, ctx.LoadGlobal(pairBuf, cand*2+tid))
-			}
-			ctx.SyncThreads()
-		}
 		metaAt := func(j int) int {
 			if opt.Preload {
 				return int(ctx.LoadShared(metaShared + j))
@@ -241,19 +238,10 @@ func (d *DeviceDB) prefixChunk(cands [][]dataset.Item, classes []classRun, k int
 			steps++
 		}
 		ctx.Compute((steps + opt.Unroll - 1) / opt.Unroll)
-
 		ctx.StoreShared(tid, sum)
-		ctx.SyncThreads()
-		for stride := ctx.BlockDim / 2; stride > 0; stride /= 2 {
-			if tid < stride {
-				ctx.StoreShared(tid, ctx.LoadShared(tid)+ctx.LoadShared(tid+stride))
-			}
-			ctx.SyncThreads()
-		}
-		if tid == 0 {
-			ctx.StoreGlobal(outBuf, cand, ctx.LoadShared(0))
-		}
-	}, opt.DeadlineSec)
+	})
+	phasesB = append(phasesB, reducePhases(opt.BlockSize, outBuf)...)
+	_, lerr = d.dev.TryLaunch(cfgB, opt.DeadlineSec, phasesB...)
 	if lerr != nil {
 		return fmt.Errorf("kernels: prefix phase-B launch: %w", lerr)
 	}

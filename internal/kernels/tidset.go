@@ -108,7 +108,7 @@ func (d *DeviceTidsets) SupportCounts(cands [][]dataset.Item, blockSize int) ([]
 	n := len(cands)
 	tids, offsets := d.tids, d.offsets
 
-	_, lerr := d.dev.TryLaunch(gpusim.LaunchConfig{Grid: grid, Block: blockSize}, func(ctx *gpusim.Ctx) {
+	_, lerr := d.dev.TryLaunch(gpusim.LaunchConfig{Grid: grid, Block: blockSize}, 0, func(ctx *gpusim.Ctx) {
 		cand := ctx.GlobalThreadID()
 		if cand >= n {
 			return
@@ -167,7 +167,7 @@ func (d *DeviceTidsets) SupportCounts(cands [][]dataset.Item, blockSize int) ([]
 			}
 		}
 		ctx.StoreGlobal(outBuf, cand, count)
-	}, 0)
+	})
 	if lerr != nil {
 		return nil, fmt.Errorf("kernels: tidset-join launch: %w", lerr)
 	}

@@ -47,21 +47,32 @@ go test -race ./...
 # cleanly.
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-# Alloc-regression gate: the pipeline's arena discipline holds
-# steady-state mining to a few dozen allocations per T40I10D100K run
-# (~40 measured; 55,278 before the arenas). The ceiling of 2000
-# absorbs one-shot warmup noise (pool misses on a cold run) while
-# still catching any real return of per-candidate allocation.
+# Alloc-regression gates. alloc_gate PKG BENCH fails unless one
+# iteration of benchmark BENCH in PKG reports at most ALLOC_CEILING
+# allocs/op.
 ALLOC_CEILING=2000
-ALLOCS=$(go test -run='^$' -bench='^BenchmarkMinePipeline$/shape=T40I10D100K/workers=4$' \
-    -benchmem -benchtime=1x ./internal/apriori/ \
-    | awk '/workers=4/ { print $(NF-1); exit }')
-[ -n "$ALLOCS" ]
-[ "$ALLOCS" -le "$ALLOC_CEILING" ] || {
-    echo "alloc gate: BenchmarkMinePipeline workers=4 reports $ALLOCS allocs/op (ceiling $ALLOC_CEILING)" >&2
-    exit 1
+alloc_gate() {
+    local allocs
+    allocs=$(go test -run='^$' -bench="$2" -benchmem -benchtime=1x "$1" \
+        | awk '/allocs\/op/ { print $(NF-1); exit }')
+    [ -n "$allocs" ]
+    [ "$allocs" -le "$ALLOC_CEILING" ] || {
+        echo "alloc gate: $2 reports $allocs allocs/op (ceiling $ALLOC_CEILING)" >&2
+        exit 1
+    }
+    echo "alloc gate: $2 $allocs allocs/op <= $ALLOC_CEILING: OK"
 }
-echo "alloc gate: $ALLOCS allocs/op <= $ALLOC_CEILING: OK"
+# The pipeline's arena discipline holds steady-state mining to a few
+# dozen allocations per T40I10D100K run (~40 measured; 55,278 before
+# the arenas). The ceiling absorbs one-shot warmup noise (pool misses
+# on a cold run) while still catching any real return of
+# per-candidate allocation.
+alloc_gate ./internal/apriori/ '^BenchmarkMinePipeline$/shape=T40I10D100K/workers=4$'
+# The simulator's phase executor reuses one block's thread contexts
+# per host worker: ~380 allocs per 256-candidate launch, against 25,885
+# when every simulated thread was a goroutine. A return of per-thread
+# allocation fails the gate.
+alloc_gate . '^BenchmarkKernelSupportCounts$'
 
 # Fuzz smoke: each hardened parser fuzzes for 10s (one target per
 # invocation, as go test requires).
